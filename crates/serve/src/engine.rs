@@ -1,36 +1,34 @@
 //! The concurrent serving engine: a message-passing coordinator over
 //! independent shard workers.
 //!
-//! [`ServeEngine::serve_batch`] executes a sampled query load against a
-//! pinned [`ShardedStore`] snapshot; [`ServeEngine::serve_epochs`] does the
-//! same against an [`EpochStore`], with workers re-pinning on epoch
-//! publication notices so ingestion can keep publishing new snapshots
-//! mid-run; and [`ServeEngine::run_request`] /
-//! [`ServeEngine::run_request_ctx`] are the unified [`QueryRequest`] entry
-//! points behind the `QueryEngine` implementations. All paths share the
-//! same machinery:
+//! Every entry point is one private run driver. It expands the request's
+//! load into a schedule, resolves each scheduled query's [`QueryPlan`] once
+//! per run (from the shared [`PlanCache`], or as a legacy plan when no cache
+//! is wired in), builds the transport hub, spawns one worker per shard, and
+//! hands an [`OpenLoopInjector`] to a closure that decides when each
+//! scheduled arrival is issued. Afterwards it awaits outstanding
+//! completions, collects the shard reports and assembles the
+//! [`ServeReport`]. The entry points differ only in that closure:
 //!
-//! * every workload query's compiled [`QueryPlan`] is resolved **once per
-//!   run** from the shared [`PlanCache`] (or compiled as a legacy plan when
-//!   no cache is wired in) — the router and every worker execute the same
-//!   instance, with zero per-call ordering derivation;
-//! * the coordinator (this thread) routes each query to its home shard
-//!   ([`QueryRouter::home_shard_planned`]) and **sends it as a message**
-//!   over that worker's [`ShardTransport`] endpoint — admission applies
-//!   deadline-aware backpressure: a full worker inbox blocks the send until
-//!   the request's deadline and then rejects it (counted per shard) instead
-//!   of wedging forever;
-//! * one worker per shard (a `std::thread::scope` thread running the
-//!   private worker event loop) pins its snapshot at spawn, executes each
-//!   routed query with the shared instrumented matcher under the request's
-//!   [`RequestContext`] — the exact code path of the sequential executor, so
-//!   aggregate metrics stay bit-identical to a sequential run for unbounded
-//!   requests — and streams `Done` results back;
-//! * the coordinator owns **only transport endpoints**: results, per-shard
-//!   reports, epoch notices and halo sub-query handoffs all arrive as
-//!   messages on its inbox, never through shared memory;
-//! * per-query modelled latencies feed the [`ServeReport`] (per-shard QPS,
-//!   p50/p99, remote-hop fraction, queue depth, queue-wait p99, rejects).
+//! * [`ServeEngine::open_loop`] hands the injector to the caller, whose
+//!   admissions never block: a full worker inbox rejects on the spot, so
+//!   injection timing is independent of the engine keeping up;
+//! * the closed loop behind [`ServeEngine::serve_batch`],
+//!   [`ServeEngine::serve_epochs`], [`ServeEngine::run_request`] and
+//!   friends issues every arrival with **blocking** admission, in
+//!   `batch_size` chunks each routed against the snapshot current when the
+//!   chunk starts. A full inbox blocks the send until the request's
+//!   deadline and then rejects it.
+//!
+//! On either path the coordinator (this thread) routes each query to its
+//! home shard ([`QueryRouter::home_shard_planned`]) and sends it as a
+//! message over that worker's [`ShardTransport`] endpoint. A worker pins its
+//! snapshot at spawn (re-pinning on epoch notices when serving an
+//! [`EpochStore`]), executes each routed query with the shared matcher under
+//! the request's [`RequestContext`], the exact code path of the sequential
+//! executor, and streams `Done` results back. Results, shard reports, epoch
+//! notices and halo sub-query handoffs all reach the coordinator as
+//! messages on its inbox, never through shared memory.
 
 use crate::epoch::EpochStore;
 use crate::metrics::{sort_samples, sorted_quantile, ErrorBudget, ServeReport, ShardServeMetrics};
@@ -368,55 +366,20 @@ impl<'a> Coordinator<'a> {
         }
     }
 
-    /// Send one routed query to its home worker **without blocking**: a full
-    /// inbox rejects the request immediately (same accounting as a
-    /// deadline-expired admission) instead of applying backpressure. This is
-    /// the open-loop admission primitive — injection timing never depends on
-    /// the engine keeping up. Returns whether the request was enqueued.
-    fn admit_open(&mut self, worker: usize, task: QueryTaskMsg, epoch: u64) -> bool {
-        if self.handoff {
-            self.meta.insert(task.seq, (worker, task.query as usize));
-        }
-        let seq = task.seq;
-        if let Some(t) = self.telemetry {
-            t.flight().record(FlightKind::Admitted {
-                request: seq,
-                shard: worker as u32,
-                epoch,
-            });
-        }
-        match self.links[worker].try_send(ShardMsg::Query(task)) {
-            Ok(()) => {
-                self.outstanding += 1;
-                if let Some(ctr) = self.admitted_ctr.get(worker) {
-                    ctr.inc();
-                }
-                true
-            }
-            Err(err) => {
-                if let ShardMsg::Query(task) = err.into_msg() {
-                    if let Some(t) = self.telemetry {
-                        t.flight().record(FlightKind::Rejected {
-                            request: seq,
-                            shard: worker as u32,
-                            epoch,
-                        });
-                    }
-                    self.reject(worker, &task, epoch);
-                    if let Some(t) = self.telemetry {
-                        t.flight().latch("admission rejected");
-                    }
-                }
-                false
-            }
-        }
-    }
-
     /// Send one routed query to its home worker, draining the inbox between
-    /// backpressure slices. With a deadline, a push that stays blocked past
-    /// it rejects the request (recorded as `deadline_exceeded` with zero
-    /// traversals, and counted in the shard's `rejected`).
-    fn admit(&mut self, worker: usize, task: QueryTaskMsg, deadline: Option<Instant>, epoch: u64) {
+    /// backpressure slices. A push still blocked at `wait` rejects the
+    /// request (recorded as `deadline_exceeded` with zero traversals, and
+    /// counted in the shard's `rejected`); `wait: None` blocks until the
+    /// inbox has room. A `wait` that has already passed is the non-blocking
+    /// case: a full inbox rejects on the spot. Returns whether the request
+    /// was enqueued.
+    fn admit(
+        &mut self,
+        worker: usize,
+        task: QueryTaskMsg,
+        epoch: u64,
+        wait: Option<Instant>,
+    ) -> bool {
         if self.handoff {
             self.meta.insert(task.seq, (worker, task.query as usize));
         }
@@ -435,44 +398,44 @@ impl<'a> Coordinator<'a> {
         loop {
             self.poll_cancel();
             let slice = Instant::now() + ADMIT_SLICE;
-            let attempt = Some(deadline.map_or(slice, |d| d.min(slice)));
-            match self.links[worker].send(msg, attempt) {
+            let attempt = wait.map_or(slice, |d| d.min(slice));
+            match self.links[worker].send(msg, Some(attempt)) {
                 Ok(()) => {
                     self.outstanding += 1;
                     if let Some(ctr) = self.admitted_ctr.get(worker) {
                         ctr.inc();
                     }
-                    return;
+                    return true;
                 }
-                Err(TransportError::Timeout(back)) => {
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
-                        if let ShardMsg::Query(task) = *back {
-                            if let (Some(t), Some(started)) = (self.telemetry, admit_started) {
-                                t.flight().record(FlightKind::QueueWait {
-                                    request: task.seq,
-                                    shard: worker as u32,
-                                    waited_us: started.elapsed().as_micros() as u64,
-                                });
-                                t.flight().record(FlightKind::Rejected {
-                                    request: task.seq,
-                                    shard: worker as u32,
-                                    epoch,
-                                });
-                            }
-                            self.reject(worker, &task, epoch);
-                            if let Some(t) = self.telemetry {
-                                // Rejection is a trigger: dump the timeline
-                                // leading up to it automatically.
-                                t.flight().latch("admission rejected");
-                            }
-                        }
-                        return;
-                    }
+                Err(TransportError::Timeout(back)) if wait.is_none_or(|d| Instant::now() < d) => {
                     msg = *back;
                     self.drain();
                 }
-                // The transport only closes during teardown, after admission.
-                Err(TransportError::Closed(_)) => return,
+                // Expired, or the transport closed under us (it only closes
+                // during teardown): either way the request is rejected.
+                Err(err) => {
+                    if let ShardMsg::Query(task) = err.into_msg() {
+                        if let (Some(t), Some(started)) = (self.telemetry, admit_started) {
+                            t.flight().record(FlightKind::QueueWait {
+                                request: task.seq,
+                                shard: worker as u32,
+                                waited_us: started.elapsed().as_micros() as u64,
+                            });
+                            t.flight().record(FlightKind::Rejected {
+                                request: task.seq,
+                                shard: worker as u32,
+                                epoch,
+                            });
+                        }
+                        self.reject(worker, &task, epoch);
+                        if let Some(t) = self.telemetry {
+                            // Rejection is a trigger: dump the timeline
+                            // leading up to it automatically.
+                            t.flight().latch("admission rejected");
+                        }
+                    }
+                    return false;
+                }
             }
         }
     }
@@ -652,10 +615,12 @@ impl<'a> Coordinator<'a> {
         self.outstanding -= 1;
     }
 
-    /// Pump the inbox until every admitted query has completed.
-    fn await_completion(&mut self) {
+    /// Pump the inbox while `pending` holds, giving up after
+    /// [`STALL_LIMIT`] with no message (a crashed worker then surfaces as a
+    /// loud join panic instead of a hang).
+    fn pump_while(&mut self, pending: impl Fn(&Self) -> bool) {
         let mut last_progress = Instant::now();
-        while self.outstanding > 0 {
+        while pending(self) {
             self.poll_cancel();
             self.flush_relays();
             match self.links[0].recv(Some(Instant::now() + PUMP_SLICE)) {
@@ -688,59 +653,36 @@ impl<'a> Coordinator<'a> {
                 }
             }
         }
-        let mut last_progress = Instant::now();
-        while self.reports.iter().any(Option::is_none) {
-            match self.links[0].recv(Some(Instant::now() + PUMP_SLICE)) {
-                Ok(msg) => {
-                    last_progress = Instant::now();
-                    self.handle(msg);
-                }
-                Err(RecvError::Timeout) => {
-                    if last_progress.elapsed() > STALL_LIMIT {
-                        break;
-                    }
-                }
-                Err(RecvError::Disconnected) => break,
-            }
-        }
+        self.pump_while(|c| c.reports.iter().any(Option::is_none));
     }
 }
 
-/// Driver-side handle for one open-loop run (see
-/// [`ServeEngine::open_loop`]). The load is pre-scheduled exactly like a
-/// closed-loop run; the driver injects it one arrival at a time with
-/// **non-blocking** admission ([`OpenLoopInjector::inject_next`]), so
-/// injection timing is a pure function of the driver's clock — never of the
+/// Driver-side handle for one run (see [`ServeEngine::open_loop`]). The
+/// load is pre-scheduled; the driver issues it one arrival at a time. Its
+/// public admission ([`OpenLoopInjector::inject_next`]) never blocks, so
+/// injection timing is a pure function of the driver's clock, never of the
 /// engine keeping up. A full inbox rejects on the spot; a late arrival can
 /// be shed ([`OpenLoopInjector::shed_next`]); both land in the same
-/// per-shard `rejected` accounting the blocking path uses, so every issued
-/// request appears in the final [`ServeReport`].
+/// per-shard `rejected` accounting the blocking closed loop uses, so every
+/// issued request appears in the final [`ServeReport`].
 pub struct OpenLoopInjector<'a> {
     coordinator: Coordinator<'a>,
     router: &'a QueryRouter,
+    source: &'a Source<'a>,
+    /// The snapshot arrivals are routed against.
     snapshot: Arc<ShardedStore>,
     tasks: &'a [QueryTaskMsg],
-    workers: usize,
+    /// Arrivals issued so far (admitted, rejected or shed), in schedule
+    /// order.
     next: usize,
-    issued: usize,
     query_counts: Vec<usize>,
     run_start: Instant,
 }
 
-impl OpenLoopInjector<'_> {
+impl<'a> OpenLoopInjector<'a> {
     /// When the run (and its relative-µs deadline clock) started.
     pub fn run_start(&self) -> Instant {
         self.run_start
-    }
-
-    /// Scheduled arrivals not yet issued.
-    pub fn remaining(&self) -> usize {
-        self.tasks.len() - self.next
-    }
-
-    /// Requests issued so far (admitted + rejected + shed).
-    pub fn issued(&self) -> usize {
-        self.issued
     }
 
     /// Admitted requests whose completion has not been consumed yet — the
@@ -755,32 +697,8 @@ impl OpenLoopInjector<'_> {
     /// home-worker inbox means [`Admission::Rejected`], charged to that
     /// shard's error budget.
     pub fn inject_next(&mut self, deadline: Option<Instant>) -> Admission {
-        let tasks = self.tasks;
-        let Some(task) = tasks.get(self.next) else {
-            return Admission::Exhausted;
-        };
-        self.next += 1;
-        self.issued += 1;
-        self.query_counts[task.query as usize] += 1;
-        let mut task = task.clone();
-        if let Some(d) = deadline {
-            task.deadline_us = Some(d.saturating_duration_since(self.run_start).as_micros() as u64);
-        }
-        let plans = self.coordinator.plans;
-        let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
-        let shard = self
-            .router
-            .home_shard_planned(&self.snapshot, plan, task.root_seed);
-        let worker = shard.index() % self.workers;
-        let seq = task.seq;
-        if self
-            .coordinator
-            .admit_open(worker, task, self.snapshot.epoch())
-        {
-            Admission::Admitted { seq, shard: worker }
-        } else {
-            Admission::Rejected { seq, shard: worker }
-        }
+        // The run start has passed, so admission never waits.
+        self.admit_next(deadline, Some(self.run_start))
     }
 
     /// Drop the next scheduled arrival without offering it to its worker —
@@ -789,25 +707,9 @@ impl OpenLoopInjector<'_> {
     /// an admission rejection on the arrival's home shard. Returns the shed
     /// sequence number, or `None` when the schedule is exhausted.
     pub fn shed_next(&mut self) -> Option<u64> {
-        let tasks = self.tasks;
-        let task = tasks.get(self.next)?;
-        self.next += 1;
-        self.issued += 1;
-        self.query_counts[task.query as usize] += 1;
-        let plans = self.coordinator.plans;
-        let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
-        let shard = self
-            .router
-            .home_shard_planned(&self.snapshot, plan, task.root_seed);
-        let worker = shard.index() % self.workers;
-        let epoch = self.snapshot.epoch();
-        self.coordinator.reject(worker, task, epoch);
+        let (task, worker) = self.issue_next()?;
+        self.coordinator.reject(worker, task, self.snapshot.epoch());
         Some(task.seq)
-    }
-
-    /// Consume everything currently on the inbox without blocking.
-    pub fn pump(&mut self) {
-        self.coordinator.drain();
     }
 
     /// Consume inbox messages until `deadline` — this is how the driver
@@ -832,6 +734,41 @@ impl OpenLoopInjector<'_> {
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
+    }
+
+    /// Take the next scheduled arrival, count it as issued, and route it to
+    /// its home worker against the current snapshot.
+    fn issue_next(&mut self) -> Option<(&'a QueryTaskMsg, usize)> {
+        let tasks = self.tasks;
+        let task = tasks.get(self.next)?;
+        self.next += 1;
+        self.query_counts[task.query as usize] += 1;
+        let plan = self.coordinator.plans[task.query as usize]
+            .as_ref()
+            .expect("scheduled plan");
+        let shard = self
+            .router
+            .home_shard_planned(&self.snapshot, plan, task.root_seed);
+        Some((task, shard.index() % self.coordinator.links.len()))
+    }
+
+    /// Issue the next scheduled arrival, letting admission block until
+    /// `wait` (see [`Coordinator::admit`]).
+    fn admit_next(&mut self, deadline: Option<Instant>, wait: Option<Instant>) -> Admission {
+        let Some((task, worker)) = self.issue_next() else {
+            return Admission::Exhausted;
+        };
+        let mut task = task.clone();
+        if let Some(d) = deadline {
+            task.deadline_us = Some(d.saturating_duration_since(self.run_start).as_micros() as u64);
+        }
+        let seq = task.seq;
+        let epoch = self.snapshot.epoch();
+        if self.coordinator.admit(worker, task, epoch, wait) {
+            Admission::Admitted { seq, shard: worker }
+        } else {
+            Admission::Rejected { seq, shard: worker }
+        }
     }
 }
 
@@ -964,19 +901,8 @@ impl ServeEngine {
         self.run(Source::Pinned(store), workload, request, ctx)
     }
 
-    /// Like [`ServeEngine::run_request`], but serving from an
+    /// Like [`ServeEngine::run_request_ctx`], but serving from an
     /// [`EpochStore`] (workers re-pin on epoch publication notices).
-    pub fn run_request_epochs(
-        &self,
-        epochs: &EpochStore,
-        workload: &Workload,
-        request: QueryRequest,
-    ) -> (ServeReport, QueryResponse) {
-        self.run_request_epochs_ctx(epochs, workload, request, &RequestContext::unbounded())
-    }
-
-    /// Like [`ServeEngine::run_request_epochs`], under an explicit
-    /// [`RequestContext`].
     pub fn run_request_epochs_ctx(
         &self,
         epochs: &EpochStore,
@@ -1009,122 +935,14 @@ impl ServeEngine {
         request: QueryRequest,
         driver: impl FnOnce(&mut OpenLoopInjector<'_>) -> R,
     ) -> (ServeReport, R) {
-        let started = Instant::now();
-        let options = self.options_for(&request);
-        let workers = self.config.workers.max(1);
-        let router = QueryRouter::new(options.mode);
-        let effective = RequestContext::unbounded().tightened_by(request.deadline);
-        let handoff = self.config.halo_handoff;
-        let deadline_us = effective
-            .deadline
-            .map(|d| d.saturating_duration_since(started).as_micros() as u64);
-
-        let schedule = request_schedule(workload, &request);
-        let tasks: Vec<QueryTaskMsg> = schedule
-            .iter()
-            .enumerate()
-            .map(|(seq, &(query, root_seed))| QueryTaskMsg {
-                seq: seq as u64,
-                query: query as u32,
-                root_seed,
-                deadline_us,
-            })
-            .collect();
-        let plans = resolve_schedule_plans(self.plans.as_ref(), workload, &schedule);
-
-        let hub = InProcTransport::hub_observed(
-            workers,
-            self.config.queue_capacity,
-            self.telemetry.as_deref(),
-        );
-        let source = Source::Pinned(store);
-
-        let (logs, reports, embeddings, issued, query_counts, value) =
-            std::thread::scope(|scope| {
-                for (w, endpoint) in hub.workers.iter().enumerate() {
-                    let source = &source;
-                    let plans = &plans;
-                    let cancel = effective.cancel.clone();
-                    let exec_hist = self
-                        .telemetry
-                        .as_ref()
-                        .map(|t| t.shard_histogram(stage::SERVE_EXECUTE, w as u32));
-                    let halo_hist = self
-                        .telemetry
-                        .as_ref()
-                        .map(|t| t.shard_histogram(stage::SERVE_HALO_HANDOFF, w as u32));
-                    scope.spawn(move || {
-                        worker_loop(
-                            endpoint,
-                            source,
-                            WorkerSetup {
-                                worker: w as u32,
-                                workers: workers as u32,
-                                options,
-                                handoff,
-                                plans,
-                                run_start: started,
-                                cancel,
-                                exec_hist,
-                                halo_hist,
-                            },
-                        );
-                    });
-                }
-
-                let mut coordinator = Coordinator::new(
-                    &hub.coordinator,
-                    &plans,
-                    &effective.cancel,
-                    handoff,
-                    self.telemetry.as_deref(),
-                );
-                coordinator.completions = Some(Vec::new());
-                let mut injector = OpenLoopInjector {
-                    coordinator,
-                    router: &router,
-                    snapshot: Arc::clone(store),
-                    tasks: &tasks,
-                    workers,
-                    next: 0,
-                    issued: 0,
-                    query_counts: vec![0usize; workload.len()],
-                    run_start: started,
-                };
-                let value = driver(&mut injector);
-                let OpenLoopInjector {
-                    mut coordinator,
-                    issued,
-                    query_counts,
-                    ..
-                } = injector;
-                coordinator.await_completion();
-                coordinator.finish();
-                hub.coordinator[0].shutdown();
-                (
-                    coordinator.logs,
-                    coordinator.reports,
-                    coordinator.embeddings,
-                    issued,
-                    query_counts,
-                    value,
-                )
-            });
-
-        let depths: Vec<usize> = hub
-            .coordinator
-            .iter()
-            .map(|l| l.peer_inbox_depth())
-            .collect();
-        let (report, _) = self.assemble(
-            logs,
-            reports,
-            depths,
-            embeddings,
-            issued,
-            query_counts,
-            started,
+        let ctx = RequestContext::unbounded().tightened_by(request.deadline);
+        let (report, _, value) = self.drive(
+            Source::Pinned(store),
+            workload,
             &request,
+            &ctx,
+            true,
+            driver,
         );
         (report, value)
     }
@@ -1142,6 +960,8 @@ impl ServeEngine {
         }
     }
 
+    /// The closed loop: issue every scheduled arrival with blocking
+    /// admission that honours the effective deadline.
     fn run(
         &self,
         source: Source<'_>,
@@ -1149,39 +969,64 @@ impl ServeEngine {
         request: QueryRequest,
         ctx: &RequestContext,
     ) -> (ServeReport, QueryResponse) {
+        let ctx = ctx.tightened_by(request.deadline);
+        let batch = self.config.batch_size.max(1);
+        let (report, response, ()) = self.drive(source, workload, &request, &ctx, false, |inj| {
+            while inj.next < inj.tasks.len() {
+                // Route each admission batch against the snapshot current
+                // when the batch starts.
+                inj.snapshot = inj.source.pin();
+                for _ in 0..batch {
+                    inj.admit_next(None, ctx.deadline);
+                }
+            }
+        });
+        (report, response)
+    }
+
+    /// The one run driver. Expands the request's load, resolves its plans,
+    /// spawns one worker per shard over a fresh transport hub, hands the
+    /// injector to `driver`, then awaits every admitted query, collects the
+    /// shard reports and assembles the report. `ctx` is the effective
+    /// context (the caller's, tightened by the request's deadline);
+    /// `completions` turns on the per-completion timestamp sink that only
+    /// open-loop drivers read.
+    fn drive<R>(
+        &self,
+        source: Source<'_>,
+        workload: &Workload,
+        request: &QueryRequest,
+        ctx: &RequestContext,
+        completions: bool,
+        driver: impl FnOnce(&mut OpenLoopInjector<'_>) -> R,
+    ) -> (ServeReport, QueryResponse, R) {
         let started = Instant::now();
-        let options = self.options_for(&request);
+        let options = self.options_for(request);
         let workers = self.config.workers.max(1);
         let router = QueryRouter::new(options.mode);
-        let effective = ctx.tightened_by(request.deadline);
         // Handoff is gated to pinned snapshots: it requires the router and
         // every worker to agree on root ownership, which an epoch swap
         // between admission and execution would break.
         let handoff = self.config.halo_handoff && matches!(source, Source::Pinned(_));
         // `Instant`s do not cross the transport; per-task deadlines ride as
         // microseconds relative to the run start both sides hold.
-        let deadline_us = effective
+        let deadline_us = ctx
             .deadline
             .map(|d| d.saturating_duration_since(started).as_micros() as u64);
 
         // Expand the load up front through the engine-shared schedule (the
         // exact sampling and root-seed scheme of the sequential executor).
-        let schedule = request_schedule(workload, &request);
-        let mut query_counts = vec![0usize; workload.len()];
+        let schedule = request_schedule(workload, request);
         let tasks: Vec<QueryTaskMsg> = schedule
             .iter()
             .enumerate()
-            .map(|(seq, &(query, root_seed))| {
-                query_counts[query] += 1;
-                QueryTaskMsg {
-                    seq: seq as u64,
-                    query: query as u32,
-                    root_seed,
-                    deadline_us,
-                }
+            .map(|(seq, &(query, root_seed))| QueryTaskMsg {
+                seq: seq as u64,
+                query: query as u32,
+                root_seed,
+                deadline_us,
             })
             .collect();
-        let samples = tasks.len();
 
         // One plan resolution per *distinct* scheduled query for the whole
         // run — the router and every worker share these instances (and the
@@ -1200,11 +1045,11 @@ impl ServeEngine {
             Source::Pinned(_) => None,
         };
 
-        let (logs, reports, embeddings) = std::thread::scope(|scope| {
+        let (injector, value) = std::thread::scope(|scope| {
             for (w, endpoint) in hub.workers.iter().enumerate() {
                 let source = &source;
                 let plans = &plans;
-                let cancel = effective.cancel.clone();
+                let cancel = ctx.cancel.clone();
                 let exec_hist = self
                     .telemetry
                     .as_ref()
@@ -1235,65 +1080,59 @@ impl ServeEngine {
             let mut coordinator = Coordinator::new(
                 &hub.coordinator,
                 &plans,
-                &effective.cancel,
+                &ctx.cancel,
                 handoff,
                 self.telemetry.as_deref(),
             );
-            for batch in tasks.chunks(self.config.batch_size) {
-                // Route against the snapshot current at admission time.
-                let snapshot = source.pin();
-                for task in batch {
-                    let plan = plans[task.query as usize].as_ref().expect("scheduled plan");
-                    let shard = router.home_shard_planned(&snapshot, plan, task.root_seed);
-                    let worker = shard.index() % workers;
-                    coordinator.admit(worker, task.clone(), effective.deadline, snapshot.epoch());
-                }
+            if completions {
+                coordinator.completions = Some(Vec::new());
             }
-            coordinator.await_completion();
-            coordinator.finish();
+            let mut injector = OpenLoopInjector {
+                coordinator,
+                router: &router,
+                source: &source,
+                snapshot: source.pin(),
+                tasks: &tasks,
+                next: 0,
+                query_counts: vec![0usize; workload.len()],
+                run_start: started,
+            };
+            let value = driver(&mut injector);
+            injector.coordinator.pump_while(|c| c.outstanding > 0);
+            injector.coordinator.finish();
             // Tear the run down: closing the shared inbox ends the epoch
             // subscription's delivery path too.
             hub.coordinator[0].shutdown();
-            (
-                coordinator.logs,
-                coordinator.reports,
-                coordinator.embeddings,
-            )
+            (injector, value)
         });
 
         if let Some((epochs, id)) = subscription {
             epochs.unsubscribe(id);
         }
-
-        let depths: Vec<usize> = hub
-            .coordinator
-            .iter()
-            .map(|l| l.peer_inbox_depth())
-            .collect();
-        self.assemble(
-            logs,
-            reports,
-            depths,
-            embeddings,
-            samples,
-            query_counts,
-            started,
-            &request,
-        )
+        let (report, response) = self.assemble(injector, request);
+        (report, response, value)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
-        logs: Vec<CoordLog>,
-        reports: Vec<Option<ShardReportMsg>>,
-        depths: Vec<usize>,
-        mut embeddings: Vec<(u64, u64, Embedding)>,
-        samples: usize,
-        query_counts: Vec<usize>,
-        started: Instant,
+        injector: OpenLoopInjector<'_>,
         request: &QueryRequest,
     ) -> (ServeReport, QueryResponse) {
+        let OpenLoopInjector {
+            coordinator,
+            next: samples,
+            query_counts,
+            run_start,
+            ..
+        } = injector;
+        let Coordinator {
+            links,
+            logs,
+            reports,
+            mut embeddings,
+            ..
+        } = coordinator;
+        let depths: Vec<usize> = links.iter().map(|l| l.peer_inbox_depth()).collect();
         let mut aggregate = ExecutionMetrics::default();
         let mut all_latencies: Vec<f64> = Vec::with_capacity(samples);
         let mut epochs_observed: Vec<u64> = Vec::new();
@@ -1377,19 +1216,12 @@ impl ServeEngine {
             rejected: shards.iter().map(|s| s.rejected).sum(),
             deadline_expired: shards.iter().map(|s| s.deadline_expired).sum(),
         };
-        let wall_clock_us = started.elapsed().as_secs_f64() * 1e6;
-        let wall_clock_qps = if wall_clock_us <= 0.0 {
-            0.0
-        } else {
-            samples as f64 / (wall_clock_us / 1e6)
-        };
         let report = ServeReport {
             shards,
             aggregate,
             queries: samples,
             makespan_us,
-            wall_clock_us,
-            wall_clock_qps,
+            wall_clock_us: run_start.elapsed().as_secs_f64() * 1e6,
             p50_latency_us: p50,
             p99_latency_us: p99,
             epochs_observed,
@@ -1750,8 +1582,33 @@ mod tests {
     fn report_carries_wall_clock_qps() {
         let (store, workload) = fixture();
         let report = ServeEngine::new(ServeConfig::new(2)).serve_batch(&store, &workload, 30, 1);
-        assert!(report.wall_clock_qps > 0.0);
-        assert!((report.wall_clock_qps - report.wall_clock_qps()).abs() < 1e-9);
+        assert!(report.wall_clock_qps() > 0.0);
+    }
+
+    #[test]
+    fn open_loop_injecting_everything_matches_run_request() {
+        let (store, workload) = fixture();
+        for (workers, handoff) in [(2, false), (4, true)] {
+            let samples = 60;
+            let config = ServeConfig::new(workers)
+                .with_queue_capacity(samples)
+                .with_halo_handoff(handoff);
+            let engine = ServeEngine::new(config);
+            let request = QueryRequest::workload(samples).with_seed(12);
+            let (closed, _) = engine.run_request(&store, &workload, request);
+            let (open, ()) = engine.open_loop(&store, &workload, request, |inj| {
+                while let Admission::Admitted { .. } = inj.inject_next(None) {}
+                while inj.outstanding() > 0 {
+                    inj.pump_until(Instant::now() + Duration::from_millis(5));
+                }
+            });
+            assert_eq!(open.aggregate, closed.aggregate, "{workers} workers");
+            assert_eq!(open.queries, closed.queries);
+            assert_eq!(open.query_counts, closed.query_counts);
+            assert_eq!(open.error_budget, closed.error_budget);
+            assert_eq!(open.epochs_observed, closed.epochs_observed);
+            assert_eq!(open.error_budget.rejected, 0);
+        }
     }
 
     #[test]

@@ -14,19 +14,21 @@
 //!   on its home shard via the label/partition indexes;
 //! * [`transport`] — [`transport::ShardTransport`]: the object-safe,
 //!   wire-shaped message channel between the coordinator and each worker.
-//!   Everything that crosses it is a serde-serializable
-//!   [`transport::ShardMsg`] (routed queries, halo sub-query handoffs,
-//!   results, shard reports, epoch notices) — no shared-memory handle ever
-//!   does. [`transport::InProcTransport`] is the bounded-channel in-process
+//!   Everything that crosses it is a [`transport::ShardMsg`] value (routed
+//!   queries, halo sub-query handoffs, results, shard reports, epoch
+//!   notices) — no shared-memory handle ever does.
+//!   [`transport::InProcTransport`] is the bounded-channel in-process
 //!   implementation;
-//! * [`engine`] — [`engine::ServeEngine`]: the run coordinator. It routes
-//!   queries and owns only transport endpoints; one independent worker event
-//!   loop per shard (a `std::thread::scope` thread) executes them with the
-//!   shared instrumented matcher from `loom-sim` under each request's
+//! * [`engine`] — [`engine::ServeEngine`]: the run coordinator. Every entry
+//!   point is one run driver that routes queries and owns only transport
+//!   endpoints; one independent worker event loop per shard (a
+//!   `std::thread::scope` thread) executes them with the shared instrumented
+//!   matcher from `loom-sim` under each request's
 //!   [`RequestContext`](loom_sim::context::RequestContext) — deadlines and
-//!   cancellation unwind searches cooperatively mid-backtrack. Admission
-//!   applies deadline-aware backpressure: a full worker inbox rejects the
-//!   request at its deadline instead of wedging;
+//!   cancellation unwind searches cooperatively mid-backtrack. Open-loop
+//!   admission never blocks (a full worker inbox rejects on the spot); the
+//!   closed loop admits with deadline-aware backpressure (a full inbox
+//!   blocks until the request's deadline, then rejects);
 //! * [`epoch`] — [`epoch::EpochStore`]: ingest-while-serve via epoch-swapped
 //!   snapshots — the streaming partitioner keeps ingesting and periodically
 //!   publishes a new immutable shard set through an `arc-swap`-style pointer,

@@ -7,8 +7,8 @@
 //! boundary in between. Everything that crosses it is a [`ShardMsg`] — a
 //! routed query request, a halo-crossing sub-query handoff, a per-shard
 //! metric report, an epoch-publication notice — and every payload is plain
-//! serde-serializable data: vertex ids, seeds, metric structs, relative
-//! deadlines in microseconds. **No `Arc<ShardedStore>` or any other
+//! data: vertex ids, seeds, metric structs, relative deadlines in
+//! microseconds. There is no byte encoding for it yet. **No `Arc<ShardedStore>` or any other
 //! shared-memory handle crosses the trait**; a worker's snapshot is handed
 //! to it at spawn and refreshed when an [`ShardMsg::EpochPublished`] notice
 //! arrives, never by dereferencing shared state mid-run. Swapping the
@@ -189,7 +189,7 @@ pub struct TransportStats {
 /// and one shard worker.
 ///
 /// The contract is deliberately wire-shaped: every [`ShardMsg`] payload is
-/// serde-serializable plain data, deadlines are explicit per call, and the
+/// plain data, deadlines are explicit per call, and the
 /// only shared state between the two ends of a conversation is whatever the
 /// implementation carries *inside* itself. An implementation backed by a
 /// socket pair satisfies the same trait; the in-process one is

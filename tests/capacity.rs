@@ -203,7 +203,7 @@ fn error_budget_accounts_for_every_scheduled_arrival() {
     assert!(budget.deadline_expired >= expired);
     assert_eq!(budget.dropped(), budget.rejected + budget.deadline_expired);
     assert!(budget.dropped() > 0, "overload must burn error budget");
-    assert!(run.report.wall_clock_qps > 0.0);
+    assert!(run.report.wall_clock_qps() > 0.0);
 }
 
 #[test]

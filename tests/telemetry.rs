@@ -61,7 +61,6 @@ fn serve_through(builder: SessionBuilder, graph: &LabelledGraph) -> Serving {
 fn modelled(report: &ServeReport) -> ServeReport {
     let mut r = report.clone();
     r.wall_clock_us = 0.0;
-    r.wall_clock_qps = 0.0;
     for shard in &mut r.shards {
         shard.queue_wait_p99_us = 0.0;
         shard.max_queue_depth = 0;
